@@ -337,6 +337,13 @@ func TestServeJSONPerClassRows(t *testing.T) {
 		if sum.Rho != 0.3 || sum.Rate <= 0 || sum.QLenMean < 0 {
 			t.Errorf("summary open-system fields: %+v", sum)
 		}
+		// Every paced injection lags its schedule by a positive amount, so
+		// the generator-lag fields are present on the summary row.
+		if sum.GenLateMaxMs <= 0 || sum.GenLateMeanMs > sum.GenLateMaxMs ||
+			sum.GenLateOver1ms > sum.Jobs {
+			t.Errorf("summary generator lag: mean %g max %g over1ms %d",
+				sum.GenLateMeanMs, sum.GenLateMaxMs, sum.GenLateOver1ms)
+		}
 		var classJobs int64
 		for i, row := range rep.Rows[impl*4+1 : impl*4+4] {
 			if row.Class == nil || *row.Class != i {
@@ -349,6 +356,9 @@ func TestServeJSONPerClassRows(t *testing.T) {
 			// and drain latency are different metrics (EXPERIMENTS.md).
 			if row.P50Ms != 0 || row.P99Ms != 0 {
 				t.Errorf("class row %d carries drain percentiles: %+v", i, row)
+			}
+			if row.GenLateMaxMs != 0 {
+				t.Errorf("class row %d carries generator lag: %+v", i, row)
 			}
 			classJobs += row.Jobs
 		}

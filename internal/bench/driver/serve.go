@@ -109,8 +109,10 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 				Jobs: res.Injected, Inversions: res.Inversions,
 				InvWaiting: res.InvWaiting, BufferedPops: res.BufferedPops,
 				Rho: res.Rho, Rate: res.OfferedRate, QLenMean: res.QLenMean,
-				Workload: res.Workload, TraceHash: res.TraceHash,
-				Epochs: res.Epochs, Resizes: res.Resizes, FinalQueues: res.FinalQueues,
+				GenLateMeanMs: res.GenLateMeanMs, GenLateMaxMs: res.GenLateMaxMs,
+				GenLateOver1ms: res.GenLateOver1ms, Workload: res.Workload,
+				TraceHash: res.TraceHash, Epochs: res.Epochs,
+				Resizes: res.Resizes, FinalQueues: res.FinalQueues,
 			}
 			sum.SetTopology(res.Topology)
 			rep.Add(sum)

@@ -112,6 +112,12 @@ type Row struct {
 	SojournP50Ms float64 `json:"sojourn_p50_ms,omitempty"`
 	SojournP99Ms float64 `json:"sojourn_p99_ms,omitempty"`
 	QLenMean     float64 `json:"qlen_mean,omitempty"`
+	// Generator lag on a serve summary row: the mean and largest lag of an
+	// injection behind its scheduled instant, in milliseconds, and the
+	// count of injections more than a millisecond late.
+	GenLateMeanMs  float64 `json:"gen_late_mean_ms,omitempty"`
+	GenLateMaxMs   float64 `json:"gen_late_max_ms,omitempty"`
+	GenLateOver1ms int64   `json:"gen_late_over_1ms,omitempty"`
 
 	// Workload provenance (powerbench serve -workload / record / replay).
 	// Workload names the spec ("bursty", a file's spec name, …), TraceHash

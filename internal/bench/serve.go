@@ -89,6 +89,11 @@ type ServeResult struct {
 	// percentiles — the numbers a capacity-planning SLO binds to.
 	SojournP50Ms float64
 	SojournP99Ms float64
+	// GenLateMeanMs, GenLateMaxMs and GenLateOver1ms are the generator's
+	// injection lag behind the arrival schedule (see jobs.OpenResult).
+	GenLateMeanMs  float64
+	GenLateMaxMs   float64
+	GenLateOver1ms int64
 	// PerClass holds per-class sojourn (wait + service) percentiles.
 	PerClass []jobs.ClassStats
 	// Workload and TraceHash identify a workload-driven run: the spec name
@@ -195,6 +200,8 @@ func Serve(spec ServeSpec) (ServeResult, error) {
 		Epochs:        res.Stats.Epochs,
 		FinalQueues:   res.Stats.FinalQueues,
 	}
+	out.GenLateMeanMs, out.GenLateMaxMs = res.GenLateMeanMs, res.GenLateMaxMs
+	out.GenLateOver1ms = res.GenLateOver1ms
 	if tr != nil {
 		out.Workload = tr.Spec.Name
 		out.Trace = tr

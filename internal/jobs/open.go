@@ -104,13 +104,22 @@ type OpenResult struct {
 	Inversions int64
 	InvWaiting int64
 	// PerClass reports per-class *sojourn* times (arrival → completion,
-	// i.e. wait + service), not the closed-system drain latencies.
+	// i.e. wait + service), not the closed-system drain latencies. A trace
+	// replay times each job from its due time in the trace, so generator
+	// lag counts against the sojourn; a Poisson run times it from its
+	// injection and reports the lag separately (GenLate*).
 	PerClass []ClassStats
 	// SojournP50Ms / SojournP99Ms are the percentiles of the pooled sojourn
 	// samples across every class — the single number a capacity-planning SLO
 	// ("p99 sojourn under X ms") binds to.
 	SojournP50Ms float64
 	SojournP99Ms float64
+	// GenLateMeanMs / GenLateMaxMs are the mean and largest lag of an
+	// injection behind its scheduled instant, and GenLateOver1ms counts the
+	// injections more than a millisecond late (sched.OpenStats.Late).
+	GenLateMeanMs  float64
+	GenLateMaxMs   float64
+	GenLateOver1ms int64
 	// QLen is the queue-length (pending jobs) timeseries and QLenMean its
 	// mean — the open-system face of Little's law (E[N] = λ·E[sojourn]).
 	QLen     []int64
@@ -283,11 +292,16 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 	// id. In the default (dense) mode the jobs actually injected are always
 	// a prefix of the generated workload, whichever producer's pacing stream
 	// delivered each one; in trace mode seq is the strided trace index, so
-	// each job keeps its recorded identity.
+	// each job keeps its recorded identity — and its due time, which is
+	// when its sojourn starts, however late the producer injects it.
 	gen := func(_, seq int) sched.Item[int32] {
 		id := seq
 		classPending[classOf(id)].Add(1)
-		arrivedAt[id] = time.Since(start).Nanoseconds()
+		if tr != nil {
+			arrivedAt[id] = tr.ArrivalNs[id]
+		} else {
+			arrivedAt[id] = time.Since(start).Nanoseconds()
+		}
 		return sched.Item[int32]{Key: keyOf(id), Value: int32(id)}
 	}
 	task := func(_ uint64, id int32, _ func(uint64, int32)) bool {
@@ -336,6 +350,11 @@ func RunOpen(spec OpenSpec, q sched.Queue[int32], workers, batch int) (OpenResul
 		InvWaiting:    invWaiting.Load(),
 		QLen:          st.QLen,
 		Stats:         st,
+	}
+	if st.Injected > 0 {
+		res.GenLateMeanMs = float64(st.Late.Total) / float64(st.Injected) / 1e6
+		res.GenLateMaxMs = float64(st.Late.Max) / 1e6
+		res.GenLateOver1ms = st.Late.Over1ms
 	}
 	if len(st.QLen) > 0 {
 		var sum float64

@@ -116,3 +116,56 @@ func TestRunOpenWorkloadTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOpenTraceSojournFromDueTime: a trace replay times every job from
+// its due time, so generator lag counts against the sojourn and the mean
+// sojourn can never fall below the mean lag. Poisson runs report the lag
+// beside their sojourns.
+func TestRunOpenTraceSojournFromDueTime(t *testing.T) {
+	spec, err := workload.Preset("bursty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.Generate(spec, 5, 20000, 2e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := pqadapt.New(pqadapt.ImplMultiQueue, 67)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunOpen(OpenSpec{Workload: tr, Seed: 3}, q, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	var n int64
+	for _, cs := range res.PerClass {
+		sum += cs.MeanMs * float64(cs.Jobs)
+		n += cs.Jobs
+	}
+	if n != int64(tr.Jobs()) {
+		t.Fatalf("served %d of %d trace jobs", n, tr.Jobs())
+	}
+	if mean := sum / float64(n); mean < res.GenLateMeanMs {
+		t.Errorf("mean sojourn %.4f ms below mean generator lag %.4f ms: sojourns not timed from due times",
+			mean, res.GenLateMeanMs)
+	}
+	if res.GenLateMaxMs < res.GenLateMeanMs || res.GenLateOver1ms > res.Injected {
+		t.Errorf("lateness counters inconsistent: mean %g max %g over1ms %d of %d",
+			res.GenLateMeanMs, res.GenLateMaxMs, res.GenLateOver1ms, res.Injected)
+	}
+
+	poisson, err := RunOpen(OpenSpec{
+		Jobs: 5000, Classes: 2, ServiceMean: 64, Rate: 2e5, Seed: 3,
+	}, q, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if poisson.GenLateMaxMs <= 0 || poisson.GenLateMaxMs < poisson.GenLateMeanMs {
+		t.Errorf("Poisson run lateness: mean %g max %g ms", poisson.GenLateMeanMs, poisson.GenLateMaxMs)
+	}
+	t.Logf("trace: lag mean %.4f max %.3f ms, %d over 1 ms; Poisson: lag mean %.4f max %.3f ms, %d over 1 ms",
+		res.GenLateMeanMs, res.GenLateMaxMs, res.GenLateOver1ms,
+		poisson.GenLateMeanMs, poisson.GenLateMaxMs, poisson.GenLateOver1ms)
+}

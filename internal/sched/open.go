@@ -105,6 +105,35 @@ type OpenStats struct {
 	Resizes     int64
 	Epochs      uint64
 	FinalQueues int
+	// Late is the producers' injection lag behind the arrival schedule,
+	// summed over every paced injection (zero for unpaced runs).
+	Late Lateness
+}
+
+// Lateness accumulates generator lag: how long after its scheduled instant
+// each paced arrival was injected. A producer keeps one in locals and
+// merges it into OpenStats.Late once, at exit.
+type Lateness struct {
+	// Total is the summed lag; Total/Injected is the mean.
+	Total time.Duration
+	// Max is the largest single lag.
+	Max time.Duration
+	// Over1ms counts injections more than a millisecond late.
+	Over1ms int64
+}
+
+func (l *Lateness) add(late time.Duration) {
+	l.Total += late
+	l.Max = max(l.Max, late)
+	if late > time.Millisecond {
+		l.Over1ms++
+	}
+}
+
+func (l *Lateness) merge(o Lateness) {
+	l.Total += o.Total
+	l.Max = max(l.Max, o.Max)
+	l.Over1ms += o.Over1ms
 }
 
 // RunOpen runs an open system: cfg.Producers goroutines inject the items
@@ -126,6 +155,14 @@ type OpenStats struct {
 // is fully processed, so the drain-to-zero epilogue is exact even when
 // items sit in worker-local batch buffers: pending == 0 implies every
 // buffer is empty and every injected item was served.
+//
+// How goroutines wait depends on the cores. When GOMAXPROCS is at least
+// Producers+Workers, producers poll the clock (sleeping only through long
+// gaps) and idle workers re-poll the queue, yielding once a millisecond so
+// the runtime still runs timers such as the sampler's; each keeps a core
+// busy and arrivals are injected when due. With fewer Ps they sleep and
+// yield, sharing the Ps. OpenStats.Late reports how far injection fell
+// behind.
 func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(producer, seq int) Item[V], task Task[V]) OpenStats {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -148,6 +185,8 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(producer, seq int) Item
 	var producersDone atomic.Bool
 	var injected atomic.Int64
 	var tot workerTotals
+	late := make([]Lateness, producers)
+	poll := spareCores(runtime.GOMAXPROCS(0), producers, workers)
 
 	start := time.Now()
 	sh := xrand.NewSharded(xrand.Tag(cfg.Seed, openSeedTag))
@@ -180,6 +219,9 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(producer, seq int) Item
 				defer f.Flush()
 			}
 			arrivals := cfg.newArrival(p, producers, sh)
+			pc := pacer{start: start, poll: poll, slack: wakeSlack}
+			var lt Lateness
+			defer func() { late[p] = lt }()
 			var schedule time.Duration
 			for i := int64(0); i < quota; i++ {
 				if arrivals != nil {
@@ -191,10 +233,14 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(producer, seq int) Item
 					if cfg.Deadline > 0 && schedule > cfg.Deadline {
 						return
 					}
-					sleepUntil(start, schedule)
+					pc.wait(schedule)
 				}
-				if cfg.Deadline > 0 && time.Since(start) > cfg.Deadline {
+				now := time.Since(start)
+				if cfg.Deadline > 0 && now > cfg.Deadline {
 					return
+				}
+				if arrivals != nil {
+					lt.add(now - schedule)
 				}
 				var seq int64
 				if cfg.Strided {
@@ -250,18 +296,26 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(producer, seq int) Item
 	// behavior. Termination: the producersDone load happens before the
 	// pending load — done is set only after every producer's final
 	// pending.Add(1), so observing done && pending==0 proves every injected
-	// item has been fully served. Idle: yield the processor to the
-	// producers instead of climbing a backoff ladder — arrivals are paced
-	// in real time, so burning the core would starve the very goroutines
-	// that end the wait.
+	// item has been fully served. Idle, without spare cores: yield the
+	// processor to the producers instead of climbing a backoff ladder —
+	// arrivals are paced in real time, so burning a shared core would
+	// starve the very goroutines that end the wait. With spare cores the
+	// worker re-polls at once: no producer waits for its P, and a yield
+	// on every poll from both sides stalls each other for milliseconds
+	// (EXPERIMENTS.md, "Open-loop pacing").
 	var workWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		workWG.Add(1)
 		go func() {
 			defer workWG.Done()
+			idle := runtime.Gosched
+			if poll {
+				var yielded time.Duration
+				idle = func() { letTimersRun(time.Since(start), &yielded) }
+			}
 			workerLoop(q, batch, task, &pending, &tot,
 				func() bool { return producersDone.Load() && pending.Load() == 0 },
-				runtime.Gosched, func() {})
+				idle, func() {})
 		}()
 	}
 
@@ -275,6 +329,9 @@ func RunOpen[V any](q Queue[V], cfg OpenConfig, gen func(producer, seq int) Item
 		Stats:    tot.stats(),
 		Injected: injected.Load(),
 		QLen:     qlen,
+	}
+	for _, l := range late {
+		st.Late.merge(l)
 	}
 	if ctrl != nil {
 		st.Resizes = ctrl.r.Resizes() - ctrl.baseResizes
@@ -316,10 +373,75 @@ func (pp *poissonProcess) Next() time.Duration {
 	return time.Duration(pp.meanNs * pp.rng.ExpFloat64())
 }
 
+// spareCores reports whether every producer and worker of an open run can
+// hold a P of its own, so that waiting by polling takes no core another of
+// them needs.
+func spareCores(procs, producers, workers int) bool {
+	return procs >= producers+workers
+}
+
+// wakeSlack is a polling producer's initial allowance for time.Sleep's
+// wake-up error. Go rounds sub-millisecond timer waits up to the
+// netpoller's millisecond resolution on Linux, so even an idle host wakes a
+// sleeper about a millisecond late (EXPERIMENTS.md, "Open-loop pacing");
+// the pacer grows the allowance when it measures worse.
+const wakeSlack = 2 * time.Millisecond
+
+// pacer holds a producer back until each scheduled arrival is due.
+type pacer struct {
+	start time.Time
+	// poll selects the spare-core path; slack is its allowance for the
+	// runtime's wake-up error, grown to the worst oversleep it measures;
+	// yielded is when the polling loop last yielded (letTimersRun).
+	poll           bool
+	slack, yielded time.Duration
+}
+
+// wait returns once target has elapsed since start. Without spare cores it
+// is sleepUntil. With them it polls the clock, sleeping only through the
+// part of a gap beyond slack: a sleep wakes up to slack late, and the
+// polling tail absorbs that.
+func (pc *pacer) wait(target time.Duration) {
+	if !pc.poll {
+		sleepUntil(pc.start, target)
+		return
+	}
+	if d := target - pc.slack - time.Since(pc.start); d > 0 {
+		time.Sleep(d)
+		pc.slack = max(pc.slack, time.Since(pc.start)-(target-pc.slack))
+	}
+	for {
+		now := time.Since(pc.start)
+		if now >= target {
+			return
+		}
+		letTimersRun(now, &pc.yielded)
+	}
+}
+
+// timerTick is how often a polling goroutine yields its P. Timers queued on
+// a P, such as the queue-length sampler's ticker, run only when that P
+// schedules, and a goroutine that never yields is preempted only every
+// 10 ms or more. A millisecond matches the timers' own resolution on Linux.
+const timerTick = time.Millisecond
+
+// letTimersRun yields the P if the caller, a polling loop at elapsed time
+// now, last yielded (at *yielded) a timerTick or more ago. One yield per
+// tick from each side is rare enough not to ping-pong.
+func letTimersRun(now time.Duration, yielded *time.Duration) {
+	if now-*yielded >= timerTick {
+		runtime.Gosched()
+		*yielded = now
+	}
+}
+
 // sleepUntil pauses until target time has elapsed since start. Long waits
 // sleep (freeing the core for workers); the final stretch is handed to the
-// scheduler in yields, because time.Sleep's wake-up granularity (tens of
-// microseconds) would otherwise floor the achievable arrival rate.
+// scheduler in yields. time.Sleep wakes about a millisecond late for
+// waits under a millisecond (Go rounds them up to the netpoller's
+// resolution on Linux) and several milliseconds late when every other P is
+// busy, so sleeping through the final stretch would floor the achievable
+// arrival rate.
 func sleepUntil(start time.Time, target time.Duration) {
 	const spinWindow = 100 * time.Microsecond
 	for {

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -221,4 +222,72 @@ func TestRunOpenPacingRoughlyMatchesRate(t *testing.T) {
 	if achieved > 2*rate || achieved < rate/2 {
 		t.Errorf("achieved rate %.0f/s, configured %.0f/s", achieved, rate)
 	}
+}
+
+// runOpenExactlyOnce runs cfg on a fresh MultiQueue and fails the test
+// unless every one of cfg.Jobs items was injected and served exactly once.
+func runOpenExactlyOnce(t *testing.T, cfg sched.OpenConfig) sched.OpenStats {
+	t.Helper()
+	q, err := pqadapt.New(pqadapt.ImplMultiQueue, 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]atomic.Int32, cfg.Jobs)
+	gen := func(_, seq int) sched.Item[int32] {
+		return sched.Item[int32]{Key: scrambleKey(int32(seq)), Value: int32(seq)}
+	}
+	task := func(_ uint64, id int32, _ func(uint64, int32)) bool {
+		seen[id].Add(1)
+		return true
+	}
+	st := sched.RunOpen[int32](q, cfg, gen, task)
+	if st.Injected != cfg.Jobs || st.Processed != cfg.Jobs {
+		t.Fatalf("cfg %+v: injected %d processed %d, want %d",
+			cfg, st.Injected, st.Processed, cfg.Jobs)
+	}
+	for i := range seen {
+		if n := seen[i].Load(); n != 1 {
+			t.Fatalf("cfg %+v: item %d served %d times", cfg, i, n)
+		}
+	}
+	return st
+}
+
+// TestRunOpenYieldPathAtOneProc: with one P, one producer and one worker
+// cannot each hold a core, so RunOpen takes the sleep-and-yield path; it
+// must still serve every job exactly once, paced and unpaced.
+func TestRunOpenYieldPathAtOneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, cfg := range []sched.OpenConfig{
+		{Workers: 1, Producers: 1, Jobs: 3000, Rate: 1e6, Seed: 5},
+		{Workers: 1, Producers: 1, Jobs: 3000, Rate: 1e6, Batch: 4, Seed: 5},
+		{Workers: 1, Producers: 1, Jobs: 3000, Seed: 5},
+	} {
+		runOpenExactlyOnce(t, cfg)
+	}
+}
+
+// TestRunOpenSpareCoreStress serves a long paced run with one producer and
+// one worker — the spare-core polling path whenever GOMAXPROCS ≥ 2, the
+// yielding path at 1. It asserts exact-once delivery only; the generator
+// lateness is logged, never gated, because it depends on the host.
+func TestRunOpenSpareCoreStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress: a long paced run")
+	}
+	jobs := int64(100_000)
+	if raceEnabled {
+		jobs = 20_000
+	}
+	cfg := sched.OpenConfig{
+		Workers: 1, Producers: 1, Jobs: jobs, Rate: 250_000,
+		SampleEvery: time.Millisecond, Seed: 17,
+	}
+	start := time.Now()
+	st := runOpenExactlyOnce(t, cfg)
+	t.Logf("GOMAXPROCS=%d: %d jobs in %v, lateness mean %v max %v, %d over 1ms, %d queue-length samples, %d empty pops",
+		runtime.GOMAXPROCS(0), jobs, time.Since(start).Round(time.Millisecond),
+		st.Late.Total/time.Duration(st.Injected), st.Late.Max, st.Late.Over1ms,
+		len(st.QLen), st.EmptyPops)
 }
